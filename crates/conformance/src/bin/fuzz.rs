@@ -31,7 +31,8 @@ use htnoc_conformance::{
     TOPOLOGY_MESH, TOPOLOGY_TORUS,
 };
 use noc_sim::config::Sabotage;
-use noc_sim::snapshot::{crc64, put_u64, take_u64};
+use noc_sim::snapshot::{seal, unseal, write_atomic};
+use noc_sim::Codec;
 use noc_sim::TelemetryOut;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -72,45 +73,24 @@ struct Progress {
     ran: u64,
 }
 
+noc_sim::codec_struct!(Progress { next_seed, ran });
+
 const PROGRESS_MAGIC: &[u8; 8] = b"NOCFUZZ\0";
 
 fn progress_path(dir: &Path) -> PathBuf {
     dir.join("fuzz-progress.bin")
 }
 
-/// Atomically persist progress (temp sibling + fsync + rename).
+/// Atomically persist progress.
 fn save_progress(dir: &Path, p: &Progress) -> std::io::Result<()> {
-    use std::io::Write;
     std::fs::create_dir_all(dir)?;
-    let mut payload = Vec::new();
-    put_u64(&mut payload, p.next_seed);
-    put_u64(&mut payload, p.ran);
-    let mut bytes = Vec::with_capacity(16 + payload.len());
-    bytes.extend_from_slice(PROGRESS_MAGIC);
-    bytes.extend_from_slice(&crc64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    let path = progress_path(dir);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    write_atomic(&progress_path(dir), &seal(PROGRESS_MAGIC, &p.encoded()))
 }
 
 /// Load persisted progress; `None` when absent or corrupt (start fresh).
 fn load_progress(dir: &Path) -> Option<Progress> {
     let bytes = std::fs::read(progress_path(dir)).ok()?;
-    let body = bytes.strip_prefix(PROGRESS_MAGIC)?;
-    let (crc_bytes, payload) = body.split_at_checked(8)?;
-    if crc64(payload) != u64::from_le_bytes(crc_bytes.try_into().ok()?) {
-        return None;
-    }
-    let mut input = payload;
-    let next_seed = take_u64(&mut input)?;
-    let ran = take_u64(&mut input)?;
-    input.is_empty().then_some(Progress { next_seed, ran })
+    Progress::decode_all(unseal(PROGRESS_MAGIC, &bytes).ok()?).ok()
 }
 
 /// Parse `--sabotage` specs: `stall-sa:R`, `leak-credit:N`, `overcount:N`,

@@ -731,13 +731,16 @@ impl TrafficSource for ReplaySource {
     }
 
     fn save_cursor(&self, out: &mut Vec<u8>) {
-        noc_sim::snapshot::put_u64(out, self.next as u64);
+        noc_sim::Codec::encode(&self.next, out);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        if let Some(next) = noc_sim::snapshot::take_u64(input) {
-            self.next = (next as usize).min(self.packets.len());
-        }
+    fn load_cursor(
+        &mut self,
+        input: &mut noc_sim::Reader<'_>,
+    ) -> Result<(), noc_sim::SnapshotError> {
+        let next: usize = noc_sim::Codec::decode(input)?;
+        self.next = next.min(self.packets.len());
+        Ok(())
     }
 }
 

@@ -684,7 +684,7 @@ impl CheckpointOpts {
 /// simulated crash); otherwise the report, which matches
 /// [`trojan_flood`] for the same seed exactly.
 pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<ScenarioReport> {
-    use noc_sim::snapshot::{encode_stall_report, put_u64, Checkpointer};
+    use noc_sim::snapshot::{Checkpointer, Codec, Reader};
 
     const ARM_AT: u64 = 200;
     const MAX_CYCLES: u64 = 20_000;
@@ -718,20 +718,20 @@ pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<Sce
         if let Some((path, snap)) = ck.load_latest().expect("checkpoint dir must be readable") {
             sim.restore(&snap)
                 .unwrap_or_else(|e| panic!("resume from {} failed: {e}", path.display()));
-            let mut ud = snap.user_data();
-            stalls = decode_stall_log(&mut ud)
-                .unwrap_or_else(|| panic!("corrupt stall log in {}", path.display()));
-            traffic.load_cursor(&mut ud);
+            // `user_data` is the stall log followed by the traffic cursor.
+            let mut ud = Reader::new(snap.user_data());
+            stalls = Codec::decode(&mut ud)
+                .unwrap_or_else(|e| panic!("corrupt stall log in {}: {e}", path.display()));
+            traffic
+                .load_cursor(&mut ud)
+                .and_then(|()| ud.finish())
+                .unwrap_or_else(|e| panic!("corrupt traffic cursor in {}: {e}", path.display()));
         }
     }
 
-    let save = |sim: &Simulator, traffic: &SyntheticTraffic, stalls: &[StallReport]| {
+    let save = |sim: &Simulator, traffic: &SyntheticTraffic, stalls: &Vec<StallReport>| {
         let mut snap = sim.snapshot();
-        let mut ud = Vec::new();
-        put_u64(&mut ud, stalls.len() as u64);
-        for s in stalls {
-            encode_stall_report(&mut ud, s);
-        }
+        let mut ud = stalls.encoded();
         traffic.save_cursor(&mut ud);
         snap.set_user_data(ud);
         ck.save(&snap)
@@ -799,18 +799,6 @@ pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<Sce
         "the diagnosis must lead to a quarantine"
     );
     Some(rep)
-}
-
-/// Decode the stall log that [`trojan_flood_checkpointed`] stores at the
-/// front of the snapshot `user_data`, advancing `input` past it.
-fn decode_stall_log(input: &mut &[u8]) -> Option<Vec<StallReport>> {
-    use noc_sim::snapshot::{decode_stall_report, take_u64};
-    let n = take_u64(input)?;
-    let mut stalls = Vec::with_capacity(n.min(1 << 16) as usize);
-    for _ in 0..n {
-        stalls.push(decode_stall_report(input)?);
-    }
-    Some(stalls)
 }
 
 /// Run every scenario on seeds derived from `seed`. Each scenario panics
@@ -918,6 +906,31 @@ mod tests {
         assert_eq!(plain.dropped_flits, rep.dropped_flits);
         assert_eq!(plain.stalls, rep.stalls);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt traffic cursor")]
+    fn truncated_traffic_cursor_fails_the_resume() {
+        let seed = CAMPAIGN_SEED.wrapping_add(5);
+        let dir = scratch_dir("cursor");
+        let mut opts = CheckpointOpts::new(&dir, 300);
+        opts.halt_at = Some(700);
+        assert!(trojan_flood_checkpointed(seed, &opts).is_none());
+        // Cut the last byte off the cursor and re-seal the file: the CRC
+        // is valid, only the cursor is short.
+        let ck = noc_sim::Checkpointer::new(&dir, opts.keep);
+        let (path, mut snap) = ck.load_latest().unwrap().expect("a checkpoint");
+        let mut ud = snap.user_data().to_vec();
+        ud.pop();
+        snap.set_user_data(ud);
+        snap.write_atomic(&path).unwrap();
+        opts.halt_at = None;
+        opts.resume = true;
+        let result = std::panic::catch_unwind(|| trojan_flood_checkpointed(seed, &opts));
+        std::fs::remove_dir_all(&dir).ok();
+        if let Err(panic) = result {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     #[test]

@@ -100,8 +100,11 @@ impl<S: TrafficSource> TrafficSource for E2eObfuscation<S> {
         self.inner.save_cursor(out);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        self.inner.load_cursor(input);
+    fn load_cursor(
+        &mut self,
+        input: &mut noc_sim::Reader<'_>,
+    ) -> Result<(), noc_sim::SnapshotError> {
+        self.inner.load_cursor(input)
     }
 }
 

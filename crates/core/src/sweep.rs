@@ -7,6 +7,8 @@
 //! synchronisation on the work path is a single `fetch_add` per chunk —
 //! no per-item locks, no channels.
 
+use noc_sim::snapshot::{seal, unseal, write_atomic};
+use noc_sim::Codec;
 use std::cell::UnsafeCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -162,27 +164,24 @@ const RESULT_MAGIC: &[u8; 8] = b"NOCRES\0\0";
 /// recomputed on a rerun. Kill the sweep at any point and run it again
 /// with the same items and directory: only the missing tail is redone.
 ///
-/// `encode`/`decode` serialize one result; `decode` returning `None`
-/// marks the file corrupt (truncated write, bad checksum survives the CRC
-/// only if `decode` rejects it), and that item is recomputed.
+/// Results are stored through their [`Codec`]; a file whose checksum or
+/// decode fails (a torn write, a stray file) is recomputed.
 pub fn par_map_checkpointed<T, R, F>(
     items: Vec<T>,
     threads: Option<usize>,
     dir: &Path,
-    encode: impl Fn(&R) -> Vec<u8> + Sync,
-    decode: impl Fn(&mut &[u8]) -> Option<R> + Sync,
     f: F,
 ) -> std::io::Result<Vec<R>>
 where
     T: Send,
-    R: Send,
+    R: Codec + Send,
     F: Fn(T) -> R + Sync,
 {
     std::fs::create_dir_all(dir)?;
     let mut done: Vec<Option<R>> = Vec::with_capacity(items.len());
     let mut todo: Vec<(usize, T)> = Vec::new();
     for (i, item) in items.into_iter().enumerate() {
-        match read_result(&result_path(dir, i), &decode) {
+        match read_result(&result_path(dir, i)) {
             Some(r) => done.push(Some(r)),
             None => {
                 done.push(None);
@@ -194,7 +193,7 @@ where
         let r = f(item);
         // Persist before handing the result back: a crash after this
         // point costs nothing, a crash before it re-runs only this item.
-        write_result(&result_path(dir, i), &encode(&r))
+        write_atomic(&result_path(dir, i), &seal(RESULT_MAGIC, &r.encoded()))
             .map(|()| (i, r))
             .map_err(|e| (i, e))
     });
@@ -220,34 +219,9 @@ fn result_path(dir: &Path, index: usize) -> PathBuf {
 }
 
 /// Parse a persisted result; `None` on any corruption (recompute).
-fn read_result<R>(path: &Path, decode: &(impl Fn(&mut &[u8]) -> Option<R> + Sync)) -> Option<R> {
+fn read_result<R: Codec>(path: &Path) -> Option<R> {
     let bytes = std::fs::read(path).ok()?;
-    let body = bytes.strip_prefix(RESULT_MAGIC)?;
-    let (crc_bytes, payload) = body.split_at_checked(8)?;
-    let crc = u64::from_le_bytes(crc_bytes.try_into().ok()?);
-    if noc_sim::snapshot::crc64(payload) != crc {
-        return None;
-    }
-    let mut input = payload;
-    let r = decode(&mut input)?;
-    input.is_empty().then_some(r)
-}
-
-/// Atomically persist one result: temp sibling + fsync + rename, so a
-/// crash mid-write leaves either no file or a complete one.
-fn write_result(path: &Path, payload: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut bytes = Vec::with_capacity(16 + payload.len());
-    bytes.extend_from_slice(RESULT_MAGIC);
-    bytes.extend_from_slice(&noc_sim::snapshot::crc64(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    R::decode_all(unseal(RESULT_MAGIC, &bytes).ok()?).ok()
 }
 
 #[cfg(test)]
@@ -317,20 +291,12 @@ mod tests {
         dir
     }
 
-    fn enc(r: &u64) -> Vec<u8> {
-        r.to_le_bytes().to_vec()
-    }
-
-    fn dec(input: &mut &[u8]) -> Option<u64> {
-        noc_sim::snapshot::take_u64(input)
-    }
-
     #[test]
     fn checkpointed_sweep_resumes_without_recomputing() {
         let dir = scratch_dir("resume");
         let calls = AtomicUsize::new(0);
         let run = |items: Vec<u64>| {
-            par_map_checkpointed(items, Some(4), &dir, enc, dec, |x| {
+            par_map_checkpointed(items, Some(4), &dir, |x: u64| {
                 calls.fetch_add(1, Ordering::SeqCst);
                 x * x
             })
@@ -350,13 +316,12 @@ mod tests {
     fn checkpointed_sweep_recomputes_corrupt_results() {
         let dir = scratch_dir("corrupt");
         let first =
-            par_map_checkpointed((0..8).collect(), Some(2), &dir, enc, dec, |x: u64| x + 100)
-                .unwrap();
+            par_map_checkpointed((0..8).collect(), Some(2), &dir, |x: u64| x + 100).unwrap();
         assert_eq!(first[3], 103);
         // A torn write (here: garbage) must not be trusted on resume.
         std::fs::write(result_path(&dir, 3), b"torn").unwrap();
         let calls = AtomicUsize::new(0);
-        let second = par_map_checkpointed((0..8).collect(), Some(2), &dir, enc, dec, |x: u64| {
+        let second = par_map_checkpointed((0..8).collect(), Some(2), &dir, |x: u64| {
             calls.fetch_add(1, Ordering::SeqCst);
             x + 100
         })

@@ -6,7 +6,7 @@
 //! golden, only match the one recorded by an uninterrupted run.
 
 use htnoc_core::prelude::*;
-use noc_sim::{SimSnapshot, Simulator, TrafficSource};
+use noc_sim::{Reader, SimSnapshot, Simulator, TrafficSource};
 use noc_traffic::AppSpec;
 use noc_types::Direction;
 use std::fmt::Write as _;
@@ -65,9 +65,11 @@ fn checkpoint_roundtrip(
     let mut sim = sc.build_sim();
     sim.restore(&snap).expect("checkpoint restores");
     let mut traffic = sc.build_traffic(sim.mesh());
-    let mut cursor = snap.user_data();
-    traffic.load_cursor(&mut cursor);
-    assert!(cursor.is_empty(), "traffic cursor fully consumed");
+    let mut cursor = Reader::new(snap.user_data());
+    traffic
+        .load_cursor(&mut cursor)
+        .expect("traffic cursor decodes");
+    cursor.finish().expect("traffic cursor fully consumed");
     (sim, traffic)
 }
 

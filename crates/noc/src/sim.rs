@@ -9,6 +9,7 @@ use crate::message::{SimEvent, TraceEvent};
 use crate::metrics::MetricsRegistry;
 use crate::router::{CreditSite, Router};
 use crate::routing::Routing;
+use crate::snapshot::{Reader, SnapshotError};
 use crate::stats::{SimStats, Snapshot};
 use crate::trace::{Record, TraceKind, TraceRecorder, TraceSink};
 use crate::watchdog::{StallKind, StallReport};
@@ -41,13 +42,17 @@ pub trait TrafficSource {
 
     /// Append this source's resume cursor (RNG state, position counters)
     /// to `out`, for checkpointing. The default writes nothing — correct
-    /// for stateless sources like [`NoTraffic`]; stateful sources override
-    /// both cursor methods symmetrically.
+    /// for stateless sources like [`NoTraffic`]; stateful sources encode
+    /// one [`crate::Codec`] value here and decode it in `load_cursor`.
     fn save_cursor(&self, _out: &mut Vec<u8>) {}
 
     /// Restore the cursor written by [`TrafficSource::save_cursor`],
     /// consuming exactly the bytes it wrote from the front of `input`.
-    fn load_cursor(&mut self, _input: &mut &[u8]) {}
+    /// A short or malformed cursor is an error, never a silent resume
+    /// from the wrong position.
+    fn load_cursor(&mut self, _input: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        Ok(())
+    }
 
     /// Event-horizon lookahead for [`Simulator::skip_idle_cycles`]: the
     /// earliest cycle `>= now` at which polling this source may either

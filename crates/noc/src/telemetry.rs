@@ -46,6 +46,7 @@
 //!   from the filesystem.
 
 use crate::metrics::MetricsRegistry;
+use crate::snapshot::write_atomic;
 use crate::stats::SimStats;
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -1500,23 +1501,6 @@ pub fn rss_kb() -> u64 {
         }
     }
     0
-}
-
-/// Write `bytes` to `path` atomically: temp sibling, fsync, rename.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(d) = std::fs::File::open(parent) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }
 
 /// Interval-driven telemetry output for long-running drivers: writes

@@ -7,8 +7,9 @@
 
 use noc_sim::config::RetxScheme;
 use noc_sim::routing::xy_direction;
-use noc_sim::snapshot::{put_u64, take_u64};
-use noc_sim::{LinkFaults, SimConfig, SimSnapshot, Simulator, SnapshotError, TrafficSource};
+use noc_sim::{
+    Codec, LinkFaults, Reader, SimConfig, SimSnapshot, Simulator, SnapshotError, TrafficSource,
+};
 use noc_trojan::{TargetSpec, TaspConfig, TaspHt};
 use noc_types::{Direction, Mesh, NodeId, Packet, PacketId, VcId};
 use proptest::prelude::*;
@@ -24,6 +25,13 @@ struct RandSource {
     next_id: u64,
     until: u64,
 }
+
+noc_sim::codec_struct!(RandSource {
+    polled,
+    rng,
+    next_id,
+    until
+});
 
 impl RandSource {
     fn new(seed: u64, until: u64) -> Self {
@@ -72,31 +80,12 @@ impl TrafficSource for RandSource {
     }
 
     fn save_cursor(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.polled);
-        for s in self.rng.state() {
-            put_u64(out, s);
-        }
-        put_u64(out, self.next_id);
-        put_u64(out, self.until);
+        self.encode(out);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        let (Some(polled), Some(a), Some(b), Some(c), Some(d)) = (
-            take_u64(input),
-            take_u64(input),
-            take_u64(input),
-            take_u64(input),
-            take_u64(input),
-        ) else {
-            return;
-        };
-        let (Some(next_id), Some(until)) = (take_u64(input), take_u64(input)) else {
-            return;
-        };
-        self.polled = polled;
-        self.rng = StdRng::from_state([a, b, c, d]);
-        self.next_id = next_id;
-        self.until = until;
+    fn load_cursor(&mut self, input: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        *self = RandSource::decode(input)?;
+        Ok(())
     }
 }
 
@@ -197,9 +186,11 @@ fn checkpoint_resume_matches(
     let mut resumed = build_sim(scheme, threads, trojan, topo);
     resumed.restore(&snap).expect("snapshot restores");
     let mut resumed_src = RandSource::new(0, 0);
-    let mut cursor = snap.user_data();
-    resumed_src.load_cursor(&mut cursor);
-    prop_assert!(cursor.is_empty(), "cursor fully consumed");
+    let mut cursor = Reader::new(snap.user_data());
+    resumed_src
+        .load_cursor(&mut cursor)
+        .expect("cursor decodes");
+    prop_assert!(cursor.finish().is_ok(), "cursor fully consumed");
     resumed.run(extra, &mut resumed_src);
 
     let resumed_snap = resumed.snapshot();

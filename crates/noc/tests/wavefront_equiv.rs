@@ -21,7 +21,6 @@
 
 use noc_sim::config::RetxScheme;
 use noc_sim::routing::xy_direction;
-use noc_sim::snapshot::{put_u64, take_u64};
 use noc_sim::{LinkFaults, SimConfig, Simulator, TrafficSource};
 use noc_trojan::{TargetSpec, TaspConfig, TaspHt};
 use noc_types::{Direction, Mesh, NodeId, Packet, PacketId, VcId};
@@ -79,31 +78,6 @@ impl TrafficSource for RandSource {
 
     fn done(&self) -> bool {
         false
-    }
-
-    fn save_cursor(&self, out: &mut Vec<u8>) {
-        for s in self.rng.state() {
-            put_u64(out, s);
-        }
-        put_u64(out, self.next_id);
-        put_u64(out, self.until);
-    }
-
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        let (Some(a), Some(b), Some(c), Some(d)) = (
-            take_u64(input),
-            take_u64(input),
-            take_u64(input),
-            take_u64(input),
-        ) else {
-            return;
-        };
-        let (Some(next_id), Some(until)) = (take_u64(input), take_u64(input)) else {
-            return;
-        };
-        self.rng = StdRng::from_state([a, b, c, d]);
-        self.next_id = next_id;
-        self.until = until;
     }
 }
 

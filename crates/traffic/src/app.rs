@@ -8,10 +8,10 @@
 //! back at an elevated rate (master→worker replies). On/off bursts add the
 //! temporal texture of barrier-synchronised phases.
 
-use noc_sim::TrafficSource;
+use crate::Cursor;
+use noc_sim::{Codec, Reader, SnapshotError, TrafficSource};
 use noc_types::{CoreId, Mesh, NodeId, Packet, PacketId, VcId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Shape parameters of one application model.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,10 +127,7 @@ pub struct AppModel {
     /// Per-source cumulative destination distributions.
     dest_cdf: Vec<Vec<(f64, NodeId)>>,
     until: u64,
-    /// Highest cycle polled so far (drives `done`).
-    polled: u64,
-    rng: StdRng,
-    next_packet: u64,
+    cursor: Cursor,
     /// Added to every issued packet id so multiple concurrent models never
     /// collide in one simulator.
     id_offset: u64,
@@ -150,9 +147,7 @@ impl AppModel {
             mesh,
             dest_cdf,
             until: u64::MAX,
-            polled: 0,
-            rng: StdRng::seed_from_u64(seed),
-            next_packet: 0,
+            cursor: Cursor::new(seed),
             id_offset: 0,
             vcs: 4,
             vc_choices: Vec::new(),
@@ -214,7 +209,7 @@ impl AppModel {
     }
 
     fn sample_dest(&mut self, src: NodeId) -> NodeId {
-        let u: f64 = self.rng.gen();
+        let u: f64 = self.cursor.rng.gen();
         let cdf = &self.dest_cdf[src.index()];
         cdf.iter()
             .find(|(p, _)| u <= *p)
@@ -248,13 +243,13 @@ impl AppModel {
 
     /// Packets issued so far.
     pub fn packets_issued(&self) -> u64 {
-        self.next_packet
+        self.cursor.next_packet
     }
 }
 
 impl TrafficSource for AppModel {
     fn poll(&mut self, cycle: u64, out: &mut Vec<Packet>) {
-        self.polled = self.polled.max(cycle);
+        self.cursor.polled = self.cursor.polled.max(cycle);
         if cycle >= self.until || !self.bursting(cycle) {
             return;
         }
@@ -269,19 +264,19 @@ impl TrafficSource for AppModel {
             if src == self.spec.primary {
                 rate *= self.spec.primary_boost;
             }
-            if !self.rng.gen_bool(rate.min(1.0)) {
+            if !self.cursor.rng.gen_bool(rate.min(1.0)) {
                 continue;
             }
             let dest = self.sample_dest(src);
-            let id = PacketId(self.id_offset + self.next_packet);
-            self.next_packet += 1;
+            let id = PacketId(self.id_offset + self.cursor.next_packet);
+            self.cursor.next_packet += 1;
             let vc = if self.vc_choices.is_empty() {
                 VcId((id.0 % self.vcs as u64) as u8)
             } else {
                 VcId(self.vc_choices[(id.0 % self.vc_choices.len() as u64) as usize])
             };
             let thread = (core % self.mesh.concentration() as usize) as u8;
-            let mem = self.spec.mem_base | (self.rng.gen::<u32>() & 0x00FF_FFFF);
+            let mem = self.spec.mem_base | (self.cursor.rng.gen::<u32>() & 0x00FF_FFFF);
             out.push(Packet::new(
                 id,
                 src,
@@ -298,7 +293,7 @@ impl TrafficSource for AppModel {
     fn done(&self) -> bool {
         // Done only once the whole injection window has been polled
         // through, so a drain lull mid-schedule never ends a run early.
-        self.until != u64::MAX && self.polled + 1 >= self.until
+        self.until != u64::MAX && self.cursor.polled + 1 >= self.until
     }
 
     fn next_injection_at(&self, now: u64) -> Option<u64> {
@@ -321,34 +316,17 @@ impl TrafficSource for AppModel {
     fn skip_to(&mut self, to: u64) {
         // Only the serialized `polled` watermark moves during a lull.
         if to > 0 {
-            self.polled = self.polled.max(to - 1);
+            self.cursor.polled = self.cursor.polled.max(to - 1);
         }
     }
 
     fn save_cursor(&self, out: &mut Vec<u8>) {
-        noc_sim::snapshot::put_u64(out, self.polled);
-        for s in self.rng.state() {
-            noc_sim::snapshot::put_u64(out, s);
-        }
-        noc_sim::snapshot::put_u64(out, self.next_packet);
+        self.cursor.encode(out);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        use noc_sim::snapshot::take_u64;
-        let Some(polled) = take_u64(input) else {
-            return;
-        };
-        let mut state = [0u64; 4];
-        for s in state.iter_mut() {
-            let Some(v) = take_u64(input) else { return };
-            *s = v;
-        }
-        let Some(next_packet) = take_u64(input) else {
-            return;
-        };
-        self.polled = polled;
-        self.rng = StdRng::from_state(state);
-        self.next_packet = next_packet;
+    fn load_cursor(&mut self, input: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        self.cursor = Cursor::decode(input)?;
+        Ok(())
     }
 }
 

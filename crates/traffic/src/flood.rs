@@ -4,10 +4,10 @@
 //! trojan is contrasted with, and the workload for the XY-vs-adaptive
 //! routing comparison in §III-A.
 
-use noc_sim::TrafficSource;
+use crate::Cursor;
+use noc_sim::{Codec, Reader, SnapshotError, TrafficSource};
 use noc_types::{CoreId, Mesh, NodeId, Packet, PacketId, VcId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// A set of compromised cores flooding one or more victim routers.
 #[derive(Debug)]
@@ -23,9 +23,7 @@ pub struct FloodAttack {
     /// Attack window.
     from: u64,
     until: u64,
-    polled: u64,
-    rng: StdRng,
-    next_packet: u64,
+    cursor: Cursor,
     /// Offset so flood ids never collide with background traffic.
     id_offset: u64,
 }
@@ -42,9 +40,7 @@ impl FloodAttack {
             packet_len: 4,
             from: 0,
             until: u64::MAX,
-            polled: 0,
-            rng: StdRng::seed_from_u64(seed),
-            next_packet: 0,
+            cursor: Cursor::new(seed),
             id_offset: 1 << 48,
         }
     }
@@ -65,33 +61,33 @@ impl FloodAttack {
 
     /// Packets issued so far.
     pub fn packets_issued(&self) -> u64 {
-        self.next_packet
+        self.cursor.next_packet
     }
 }
 
 impl TrafficSource for FloodAttack {
     fn poll(&mut self, cycle: u64, out: &mut Vec<Packet>) {
-        self.polled = self.polled.max(cycle);
+        self.cursor.polled = self.cursor.polled.max(cycle);
         if cycle < self.from || cycle >= self.until {
             return;
         }
         for (i, core) in self.attackers.iter().enumerate() {
-            if !self.rng.gen_bool(self.rate) {
+            if !self.cursor.rng.gen_bool(self.rate) {
                 continue;
             }
             let src = self.mesh.router_of_core(*core);
-            let dest = self.victims[(self.next_packet as usize + i) % self.victims.len()];
+            let dest = self.victims[(self.cursor.next_packet as usize + i) % self.victims.len()];
             if dest == src {
                 continue;
             }
-            let id = PacketId(self.id_offset + self.next_packet);
-            self.next_packet += 1;
+            let id = PacketId(self.id_offset + self.cursor.next_packet);
+            self.cursor.next_packet += 1;
             out.push(Packet::new(
                 id,
                 src,
                 dest,
                 VcId((id.0 % 4) as u8),
-                self.rng.gen(),
+                self.cursor.rng.gen(),
                 (core.0 % self.mesh.concentration() as u16) as u8,
                 self.packet_len,
                 cycle,
@@ -100,7 +96,7 @@ impl TrafficSource for FloodAttack {
     }
 
     fn done(&self) -> bool {
-        self.until != u64::MAX && self.polled + 1 >= self.until
+        self.until != u64::MAX && self.cursor.polled + 1 >= self.until
     }
 
     fn next_injection_at(&self, now: u64) -> Option<u64> {
@@ -118,34 +114,17 @@ impl TrafficSource for FloodAttack {
 
     fn skip_to(&mut self, to: u64) {
         if to > 0 {
-            self.polled = self.polled.max(to - 1);
+            self.cursor.polled = self.cursor.polled.max(to - 1);
         }
     }
 
     fn save_cursor(&self, out: &mut Vec<u8>) {
-        noc_sim::snapshot::put_u64(out, self.polled);
-        for s in self.rng.state() {
-            noc_sim::snapshot::put_u64(out, s);
-        }
-        noc_sim::snapshot::put_u64(out, self.next_packet);
+        self.cursor.encode(out);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        use noc_sim::snapshot::take_u64;
-        let Some(polled) = take_u64(input) else {
-            return;
-        };
-        let mut state = [0u64; 4];
-        for s in state.iter_mut() {
-            let Some(v) = take_u64(input) else { return };
-            *s = v;
-        }
-        let Some(next_packet) = take_u64(input) else {
-            return;
-        };
-        self.polled = polled;
-        self.rng = StdRng::from_state(state);
-        self.next_packet = next_packet;
+    fn load_cursor(&mut self, input: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        self.cursor = Cursor::decode(input)?;
+        Ok(())
     }
 }
 
@@ -189,9 +168,9 @@ impl<S: TrafficSource> TrafficSource for WithFlood<S> {
         self.flood.save_cursor(out);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        self.background.load_cursor(input);
-        self.flood.load_cursor(input);
+    fn load_cursor(&mut self, input: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        self.background.load_cursor(input)?;
+        self.flood.load_cursor(input)
     }
 }
 

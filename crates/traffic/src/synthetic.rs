@@ -1,9 +1,10 @@
 //! Classic synthetic traffic patterns.
 
-use noc_sim::TrafficSource;
+use crate::Cursor;
+use noc_sim::{Codec, Reader, SnapshotError, TrafficSource};
 use noc_types::{Mesh, NodeId, Packet, PacketId, VcId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Destination-selection pattern.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,10 +61,7 @@ pub struct SyntheticTraffic {
     vcs: u8,
     /// Stop injecting after this cycle (`u64::MAX` = run forever).
     until: u64,
-    /// Highest cycle polled so far (drives `done`).
-    polled: u64,
-    rng: StdRng,
-    next_packet: u64,
+    cursor: Cursor,
 }
 
 impl SyntheticTraffic {
@@ -77,9 +75,7 @@ impl SyntheticTraffic {
             packet_len: 4,
             vcs: 4,
             until: u64::MAX,
-            polled: 0,
-            rng: StdRng::seed_from_u64(seed),
-            next_packet: 0,
+            cursor: Cursor::new(seed),
         }
     }
 
@@ -97,30 +93,30 @@ impl SyntheticTraffic {
 
     /// Packets issued so far.
     pub fn packets_issued(&self) -> u64 {
-        self.next_packet
+        self.cursor.next_packet
     }
 }
 
 impl TrafficSource for SyntheticTraffic {
     fn poll(&mut self, cycle: u64, out: &mut Vec<Packet>) {
-        self.polled = self.polled.max(cycle);
+        self.cursor.polled = self.cursor.polled.max(cycle);
         if cycle >= self.until {
             return;
         }
         for core in 0..self.mesh.cores() {
-            if !self.rng.gen_bool(self.rate) {
+            if !self.cursor.rng.gen_bool(self.rate) {
                 continue;
             }
             let src = self.mesh.router_of_core(noc_types::CoreId(core as u16));
-            let dest = self.pattern.dest(&self.mesh, src, &mut self.rng);
+            let dest = self.pattern.dest(&self.mesh, src, &mut self.cursor.rng);
             if dest == src && !matches!(self.pattern, Pattern::Hotspot(_)) {
                 continue;
             }
-            let id = PacketId(self.next_packet);
-            self.next_packet += 1;
-            let vc = VcId((self.next_packet % self.vcs as u64) as u8);
+            let id = PacketId(self.cursor.next_packet);
+            self.cursor.next_packet += 1;
+            let vc = VcId((self.cursor.next_packet % self.vcs as u64) as u8);
             let thread = (core % self.mesh.concentration() as usize) as u8;
-            let mem = self.rng.gen::<u32>();
+            let mem = self.cursor.rng.gen::<u32>();
             out.push(Packet::new(
                 id,
                 src,
@@ -138,7 +134,7 @@ impl TrafficSource for SyntheticTraffic {
         // Done only once the whole injection window has been polled
         // through — a bounded source is not "done" before it has had the
         // chance to issue its schedule.
-        self.until != u64::MAX && self.polled + 1 >= self.until
+        self.until != u64::MAX && self.cursor.polled + 1 >= self.until
     }
 
     fn next_injection_at(&self, now: u64) -> Option<u64> {
@@ -159,40 +155,24 @@ impl TrafficSource for SyntheticTraffic {
         // window only the `polled` watermark moves (it is serialized in
         // the cursor, so it must track exactly).
         if to > 0 {
-            self.polled = self.polled.max(to - 1);
+            self.cursor.polled = self.cursor.polled.max(to - 1);
         }
     }
 
     fn save_cursor(&self, out: &mut Vec<u8>) {
-        noc_sim::snapshot::put_u64(out, self.polled);
-        for s in self.rng.state() {
-            noc_sim::snapshot::put_u64(out, s);
-        }
-        noc_sim::snapshot::put_u64(out, self.next_packet);
+        self.cursor.encode(out);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        use noc_sim::snapshot::take_u64;
-        let Some(polled) = take_u64(input) else {
-            return;
-        };
-        let mut state = [0u64; 4];
-        for s in state.iter_mut() {
-            let Some(v) = take_u64(input) else { return };
-            *s = v;
-        }
-        let Some(next_packet) = take_u64(input) else {
-            return;
-        };
-        self.polled = polled;
-        self.rng = StdRng::from_state(state);
-        self.next_packet = next_packet;
+    fn load_cursor(&mut self, input: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        self.cursor = Cursor::decode(input)?;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn uniform_random_never_self_targets() {

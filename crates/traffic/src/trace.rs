@@ -7,7 +7,7 @@
 //! configurations as needed. Replay is how the figure harnesses guarantee
 //! that every strategy in a comparison saw *the same* offered workload.
 
-use noc_sim::TrafficSource;
+use noc_sim::{Codec, Reader, SnapshotError, TrafficSource};
 use noc_types::Packet;
 
 /// One recorded injection.
@@ -115,8 +115,8 @@ impl<S: TrafficSource> TrafficSource for Recorder<S> {
         self.inner.save_cursor(out);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        self.inner.load_cursor(input);
+    fn load_cursor(&mut self, input: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        self.inner.load_cursor(input)
     }
 }
 
@@ -160,13 +160,12 @@ impl TrafficSource for Replay {
     }
 
     fn save_cursor(&self, out: &mut Vec<u8>) {
-        noc_sim::snapshot::put_u64(out, self.next as u64);
+        self.next.encode(out);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        if let Some(next) = noc_sim::snapshot::take_u64(input) {
-            self.next = (next as usize).min(self.entries.len());
-        }
+    fn load_cursor(&mut self, input: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        self.next = usize::decode(input)?.min(self.entries.len());
+        Ok(())
     }
 }
 
